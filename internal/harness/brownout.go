@@ -8,12 +8,9 @@ import (
 	"plfs/internal/adio"
 	"plfs/internal/fault"
 	"plfs/internal/mpi"
-	"plfs/internal/objfs"
 	"plfs/internal/obs"
 	"plfs/internal/pfs"
 	"plfs/internal/plfs"
-	"plfs/internal/sim"
-	"plfs/internal/simfs"
 	"plfs/internal/stats"
 	"plfs/internal/workloads"
 )
@@ -100,44 +97,15 @@ func RunBrownout(j BrownoutJob) (BrownoutReport, error) {
 		j.Cfg.Volumes = 4
 		j.Cfg.ProcsPerNode = 1
 	}
-	if j.Net == (mpi.NetConfig{}) {
-		j.Net = mpi.DefaultNet()
+	c, err := newCluster(j.Seed, j.Backend, j.Cfg, j.Net, j.Ranks, j.Obs)
+	if err != nil {
+		return BrownoutReport{}, fmt.Errorf("brownout: %w", err)
 	}
-	eng := sim.NewEngine(j.Seed)
-	j.Obs.SetClock(func() int64 { return int64(eng.Now()) })
-	ppn := j.Cfg.ProcsPerNode
-	if j.Ranks > j.Cfg.Nodes*ppn {
-		ppn = (j.Ranks + j.Cfg.Nodes - 1) / j.Cfg.Nodes
-	}
-	if !backendKnown(j.Backend) {
-		return BrownoutReport{}, fmt.Errorf("brownout: unknown backend %q", j.Backend)
-	}
-	useObj := j.Backend == BackendObjfs
-	cfg := j.Cfg
-	cfg.ProcsPerNode = ppn
-	var fs *pfs.FS
-	var store *objfs.Store
-	var roots []string
-	if useObj {
-		vols := cfg.Volumes
-		if vols < 1 {
-			vols = 1
-		}
-		store = objfs.NewSim(eng, objfs.DefaultConfig())
-		roots = store.Roots(vols)
-	} else {
-		fs = pfs.New(eng, cfg)
-		roots = make([]string, fs.Volumes())
-		for i := range roots {
-			roots[i] = fs.VolumeRoot(i)
-		}
-	}
-	world := mpi.NewWorld(eng, j.Ranks, ppn, j.Net)
 	if j.Opt.NumSubdirs == 0 {
 		j.Opt.IndexMode = plfs.ParallelIndexRead
 		j.Opt.NumSubdirs = 4
-		j.Opt.SpreadContainers = len(roots) > 1
-		j.Opt.SpreadSubdirs = len(roots) > 1
+		j.Opt.SpreadContainers = len(c.roots) > 1
+		j.Opt.SpreadSubdirs = len(c.roots) > 1
 	}
 	if j.Opt.Retry.Attempts <= 1 {
 		// Brownouts elevate transient error rates; the retry policy is
@@ -146,46 +114,29 @@ func RunBrownout(j BrownoutJob) (BrownoutReport, error) {
 		j.Opt.Retry = plfs.RetryPolicy{Attempts: 12, Backoff: 200 * time.Microsecond}
 	}
 	svc := plfs.NewService(j.Svc)
-	mount := svc.Mount(roots, j.Opt)
+	mount := svc.Mount(c.roots, j.Opt)
 	inj := fault.New(j.Fault)
 	// The workload streams into the caller's registry when one was given
 	// (so a -metrics dump carries the hedge/read counters, not just the
 	// end-of-run gauges); otherwise a private one backs the report.
 	reg := j.Obs
 	if reg == nil {
-		reg = obs.New()
-		reg.SetClock(func() int64 { return int64(eng.Now()) })
+		reg = c.registry()
 	}
 
 	steps := make([]BrownoutStep, j.Steps)
-	var kerr error
-	world.SpawnAll(func(r *mpi.Rank) {
-		var ctx plfs.Ctx
-		if useObj {
-			ctx = objfs.FaultCtx(store, len(roots), r.Node(), r.Proc(), r.Rank(), ppn, inj)
-		} else {
-			ctx = simfs.FaultCtx(fs, r.Node(), r.Proc(), r.Rank(), ppn, inj)
-		}
-		ctx.Comm = r.Comm()
+	c.spawn(inj, func(r *mpi.Rank, ctx plfs.Ctx) error {
 		ctx.Obs = reg
 		env := &workloads.Env{
 			Ctx:    ctx,
 			Driver: adio.PLFS{Mount: mount},
 			Path:   "brn",
 			Verify: true,
-		}
-		// Cold caches before every readback: the self-healing claim is
-		// about the backend read path (dropping discovery, index reads),
-		// which a warm cross-open index cache would short-circuit.
-		if r.Rank() == 0 {
-			env.InvalidateCaches = func() {
-				if fs != nil {
-					fs.DropCaches()
-				}
-				mount.DropIndexCache()
-			}
-		} else {
-			env.InvalidateCaches = func() {} // participate in the barrier only
+			// Cold caches before every readback: the self-healing claim
+			// is about the backend read path (dropping discovery, index
+			// reads), which a warm cross-open index cache would
+			// short-circuit.
+			InvalidateCaches: c.invalidator(r, mount),
 		}
 		k := workloads.Brownout{
 			Steps:      j.Steps,
@@ -203,8 +154,8 @@ func RunBrownout(j BrownoutJob) (BrownoutReport, error) {
 					}
 				}
 				if j.Repair && step > 0 {
-					if _, err := svc.RepairTick(ctx, mount); err != nil && kerr == nil {
-						kerr = fmt.Errorf("repair tick @%d: %w", step, err)
+					if _, err := svc.RepairTick(ctx, mount); err != nil {
+						c.fail(fmt.Errorf("repair tick @%d: %w", step, err))
 					}
 				}
 			},
@@ -224,18 +175,13 @@ func RunBrownout(j BrownoutJob) (BrownoutReport, error) {
 				}
 			},
 		}
-		if _, err := k.Run(env, true); err != nil && kerr == nil {
-			kerr = fmt.Errorf("rank %d: %w", ctx.Comm.Rank(), err)
+		if _, err := k.Run(env, true); err != nil {
+			return fmt.Errorf("rank %d: %w", ctx.Comm.Rank(), err)
 		}
+		return nil
 	})
-	if err := eng.Run(); err != nil {
-		if kerr != nil {
-			err = errors.Join(kerr, err)
-		}
+	if err := c.run(); err != nil {
 		return BrownoutReport{}, err
-	}
-	if kerr != nil {
-		return BrownoutReport{}, kerr
 	}
 
 	rep := BrownoutReport{

@@ -64,9 +64,9 @@ type RebalanceReport struct {
 	Moves []RebalanceMove `json:"moves"`
 }
 
-// loadSkew is max/median of the volume loads; an idle or single-volume
+// LoadSkew is max/median of the volume loads; an idle or single-volume
 // system reports 1 (no skew).
-func loadSkew(loads []float64) float64 {
+func LoadSkew(loads []float64) float64 {
 	if len(loads) < 2 {
 		return 1
 	}
@@ -102,7 +102,7 @@ func (m *Mount) Rebalance(ctx Ctx, rel string, pol RebalancePolicy) (RebalanceRe
 	for v := range loads {
 		loads[v] = pol.Load(v)
 	}
-	rep.Skew = loadSkew(loads)
+	rep.Skew = LoadSkew(loads)
 	thr := pol.SkewThreshold
 	if thr <= 0 {
 		thr = 1.5
