@@ -91,20 +91,27 @@ func (c *Comm) Bcast(root int, nbytes int64, v any) any {
 // returns the full slice (indexed by comm rank) at root, nil elsewhere.
 // Interior nodes forward their accumulated subtree, so message sizes grow
 // up the tree exactly as in MPICH's binomial gather.
+//
+// A node at relative rank rel owns the relative ranks [rel, rel+size) of
+// its subtree, and its children arrive in mask order, each covering the
+// next adjacent block; so acc is that range in relative-rank order, and
+// only the root rotates it back to comm-rank order.
 func (c *Comm) gatherTree(root int, nbytes int64, v any) []any {
 	defer func() { c.seq++ }()
 	n := len(c.members)
-	acc := map[int]any{c.me: v} // comm rank -> value
 	rel := (c.me - root + n) % n
+	size := n
+	if rel != 0 {
+		size = min(rel&-rel, n-rel)
+	}
+	acc := make([]any, 1, size)
+	acc[0] = v
 	mask := 1
 	for mask < n {
 		if rel&mask == 0 {
 			if rel+mask < n {
 				src := (c.me + mask) % n
-				m := c.recv(src, 0)
-				for k, val := range m.Val.(map[int]any) {
-					acc[k] = val
-				}
+				acc = append(acc, c.recv(src, 0).Val.([]any)...)
 			}
 		} else {
 			dst := (c.me - mask + n) % n
@@ -113,9 +120,12 @@ func (c *Comm) gatherTree(root int, nbytes int64, v any) []any {
 		}
 		mask <<= 1
 	}
+	if root == 0 {
+		return acc
+	}
 	out := make([]any, n)
-	for k, val := range acc {
-		out[k] = val
+	for i, val := range acc {
+		out[(i+root)%n] = val
 	}
 	return out
 }

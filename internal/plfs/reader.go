@@ -208,26 +208,27 @@ func (r *Reader) tryGlobalIndex() (*Index, error) {
 		return nil, err
 	}
 	ctx.sleep(m.opt.ParseCPUPerEntry * timeDuration(len(recs)))
-	return r.buildCached([][]Rec{recs}, paths), nil
+	return r.buildCached(len(paths), len(recs), lastPath(paths), func() ([][]Rec, []string) {
+		return [][]Rec{recs}, paths
+	}), nil
 }
 
-// indexOf builds (with caching) the resolved index from raw shards.
-func (r *Reader) buildCached(shards [][]Rec, dataPaths []string) *Index {
+// buildCached returns the resolved index of this open, building it only
+// when no open of the same container generation already has.  The cache
+// key (generation, dropping count, record count, last data path) comes
+// from counts every caller holds before materializing anything, and
+// inputs runs only on a miss: the ranks of a collective open share one
+// *Index, and only the builder allocates the shard and path lists.
+// Every caller still charges the merge CPU for all total records, so
+// virtual time does not depend on which rank builds.
+func (r *Reader) buildCached(ndrops, total int, last string, inputs func() ([][]Rec, []string)) *Index {
 	msp := r.sp.Child("merge")
 	defer msp.End()
 	st := r.m.stateOf(r.rel, r.ctx.Tenant)
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	last := ""
-	if len(dataPaths) > 0 {
-		last = dataPaths[len(dataPaths)-1]
-	}
 	r.ctx.sleep(r.m.opt.MergeCPUPerEntry * timeDuration(total))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	key := fmt.Sprintf("%d/%d/%d/%s", st.gen, len(dataPaths), total, last)
+	key := fmt.Sprintf("%d/%d/%d/%s", st.gen, ndrops, total, last)
 	if st.builtKey == key && st.built != nil {
 		return st.built
 	}
@@ -235,9 +236,27 @@ func (r *Reader) buildCached(shards [][]Rec, dataPaths []string) *Index {
 	if r.m.opt.SerialResolve {
 		w = 1
 	}
+	shards, dataPaths := inputs()
 	ix := BuildIndexRecs(shards, dataPaths, w)
 	st.builtKey, st.built = key, ix
 	return ix
+}
+
+// recCount is the number of records across shards.
+func recCount(shards [][]Rec) int {
+	n := 0
+	for _, s := range shards {
+		n += len(s)
+	}
+	return n
+}
+
+// lastPath is the final data path, "" when there are none.
+func lastPath(paths []string) string {
+	if len(paths) == 0 {
+		return ""
+	}
+	return paths[len(paths)-1]
 }
 
 // readShards reads and parses the given index droppings, collecting one
@@ -435,7 +454,9 @@ func (r *Reader) aggregateOriginal() error {
 	if err != nil {
 		return err
 	}
-	r.ix = r.buildCached(shards, paths)
+	r.ix = r.buildCached(len(paths), recCount(shards), lastPath(paths), func() ([][]Rec, []string) {
+		return shards, paths
+	})
 	return nil
 }
 
@@ -497,7 +518,9 @@ func (r *Reader) aggregateFlatten() error {
 	r.Stats.UsedGlobal = true
 	got := c.Bcast(0, h.nbytes, mv).(material)
 	xsp.End()
-	r.ix = r.buildCached([][]Rec{got.recs}, got.paths)
+	r.ix = r.buildCached(len(got.paths), len(got.recs), lastPath(got.paths), func() ([][]Rec, []string) {
+		return [][]Rec{got.recs}, got.paths
+	})
 	return nil
 }
 
@@ -652,15 +675,27 @@ func (r *Reader) aggregateParallel() error {
 	all = group.Bcast(0, allBytes, all).([]shardMsg)
 	xsp.End()
 
-	shards := make([][]Rec, 0, len(all))
-	paths := make([]string, len(drops))
-	for i, d := range drops {
-		paths[i] = d.Data
-	}
+	// Every rank holds the same drops and all, so the cache key comes
+	// from their counts; only the rank that misses materializes the
+	// build inputs.
+	total, last := 0, ""
 	for _, sm := range all {
-		shards = append(shards, sm.Recs)
+		total += len(sm.Recs)
 	}
-	r.ix = r.buildCached(shards, paths)
+	if len(drops) > 0 {
+		last = drops[len(drops)-1].Data
+	}
+	r.ix = r.buildCached(len(drops), total, last, func() ([][]Rec, []string) {
+		shards := make([][]Rec, len(all))
+		for i, sm := range all {
+			shards[i] = sm.Recs
+		}
+		paths := make([]string, len(drops))
+		for i, d := range drops {
+			paths[i] = d.Data
+		}
+		return shards, paths
+	})
 	return nil
 }
 
@@ -1011,7 +1046,9 @@ func (m *Mount) aggregateSerial(ctx Ctx, rel string, drops []droppingRef) (*Inde
 	if err != nil {
 		return nil, err
 	}
-	return r.buildCached(shards, paths), nil
+	return r.buildCached(len(paths), recCount(shards), lastPath(paths), func() ([][]Rec, []string) {
+		return shards, paths
+	}), nil
 }
 
 // Flatten aggregates an existing container's index droppings into a

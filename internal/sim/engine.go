@@ -2,12 +2,13 @@
 // model HPC clusters and parallel storage systems.
 //
 // The engine advances a virtual clock over a priority queue of events.
-// Simulated processes are goroutines that run one at a time: the engine
-// resumes exactly one process, waits for it to block (on a sleep, a
-// resource, a link transfer, or a message), and only then pops the next
-// event.  Because at most one simulated goroutine executes at any moment,
-// model code needs no locking and every run is a pure function of its
-// configuration and seed.
+// Simulated processes are goroutines that run one at a time.  There is
+// no engine goroutine: a process that blocks (on a sleep, a resource, a
+// link transfer, or a message) pops the next events itself, runs any
+// callbacks inline, and hands control directly to the next process to
+// resume — or keeps running when that event is its own.  Because at most
+// one simulated goroutine executes at any moment, model code needs no
+// locking and every run is a pure function of its configuration and seed.
 //
 // The package provides the primitives the higher layers are built from:
 //
@@ -20,7 +21,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -40,31 +40,64 @@ type event struct {
 	t    Time
 	seq  uint64
 	proc *Proc  // if non-nil, resume this process
-	fn   func() // otherwise run this callback in engine context
+	fn   func() // otherwise run this callback with no process current
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events ordered by (t, seq).  Events
+// are stored by value, so scheduling one allocates nothing once the
+// backing array has grown to the model's peak queue length.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
 }
-func (h eventHeap) peek() *event     { return h[0] }
-func (h *eventHeap) pushEv(e *event) { heap.Push(h, e) }
-func (h *eventHeap) popEv() *event   { return heap.Pop(h).(*event) }
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the references held by the vacated slot
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
 
 // Engine is a discrete-event simulation run.  The zero value is not usable;
 // call NewEngine.
@@ -72,12 +105,14 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
-	yield   chan struct{}
 	live    map[*Proc]struct{}
 	cur     *Proc // the process currently executing, if any
 	rng     *rand.Rand
-	failure any
-	stopped bool
+	failure any           // first process panic, reported by Run as an error
+	cbPanic any           // a callback's panic value, re-raised by Run
+	done    chan struct{} // signalled when dispatch stops handing out events
+
+	onDispatch func(t Time, p *Proc) // test hook: every popped event, p nil for callbacks
 }
 
 // NewEngine returns an engine whose random service-time jitter is derived
@@ -85,9 +120,9 @@ type Engine struct {
 // identical traces.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
+		live: make(map[*Proc]struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
+		done: make(chan struct{}, 1),
 	}
 }
 
@@ -113,30 +148,26 @@ func (e *Engine) Jitter(d time.Duration, frac float64) time.Duration {
 	return time.Duration(float64(d) * f)
 }
 
-func (e *Engine) schedule(t Time, p *Proc, fn func()) *event {
+func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &event{t: t, seq: e.seq, proc: p, fn: fn}
-	e.queue.pushEv(ev)
-	return ev
+	e.queue.push(event{t: t, seq: e.seq, proc: p, fn: fn})
 }
 
-// At schedules fn to run in engine context at absolute time t.
+// At schedules fn to run at absolute time t, with no process current.
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, nil, fn) }
 
-// After schedules fn to run in engine context d from now.
+// After schedules fn to run d from now, with no process current.
 func (e *Engine) After(d time.Duration, fn func()) { e.schedule(e.now+Time(d), nil, fn) }
 
 // Proc is a simulated process: a goroutine whose execution is interleaved
 // with virtual time by the engine.
 type Proc struct {
-	e    *Engine
-	name string
-
-	resume chan struct{}
-	parked bool // true while blocked with no pending resume event (debug only)
+	e      *Engine
+	name   string
+	resume chan struct{} // capacity 1: the handoff never blocks the sender
 }
 
 // Name returns the process name given at spawn time.
@@ -151,7 +182,7 @@ func (p *Proc) Now() Time { return p.e.now }
 // Spawn creates a simulated process running fn.  The process starts at the
 // current virtual time, after already-queued events.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name, resume: make(chan struct{}, 1)}
 	e.live[p] = struct{}{}
 	e.schedule(e.now, p, nil)
 	go func() {
@@ -163,11 +194,58 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 				}
 			}
 			delete(e.live, p)
-			e.yield <- struct{}{}
+			e.dispatch(nil)
 		}()
 		fn(p)
 	}()
 	return p
+}
+
+// dispatch pops events until one resumes a process, running callbacks
+// inline with no process current.  It is called by the goroutine that
+// gives up control — Run to start, a process that parks, a process that
+// exits — so the next process is resumed directly, one goroutine switch
+// per event.  It reports true when that process is self, which then just
+// keeps running.  When the queue drains or a panic stops the run, it
+// signals Run instead.
+//
+// Nothing may touch engine state after the resume send: the resumed
+// process owns the engine from then on.
+func (e *Engine) dispatch(self *Proc) bool {
+	for e.failure == nil && e.cbPanic == nil && len(e.queue) > 0 {
+		ev := e.queue.pop()
+		e.now = ev.t
+		if e.onDispatch != nil {
+			e.onDispatch(ev.t, ev.proc)
+		}
+		if p := ev.proc; p != nil {
+			e.cur = p
+			if p == self {
+				return true
+			}
+			p.resume <- struct{}{}
+			return false
+		}
+		e.cur = nil
+		if ev.fn != nil {
+			e.callback(ev.fn)
+		}
+	}
+	e.cur = nil
+	e.done <- struct{}{}
+	return false
+}
+
+// callback runs fn and keeps a panic for Run to re-raise.  fn may be
+// running on a parked process's goroutine, and that process's own
+// recover must not claim the panic as its failure.
+func (e *Engine) callback(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.cbPanic = r
+		}
+	}()
+	fn()
 }
 
 // park blocks the calling process until some event resumes it.  The caller
@@ -181,10 +259,9 @@ func (p *Proc) park() {
 		panic(fmt.Sprintf("sim: blocking operation on proc %q from a different goroutine (current: %q)",
 			p.name, p.e.curName()))
 	}
-	p.parked = true
-	p.e.yield <- struct{}{}
-	<-p.resume
-	p.parked = false
+	if !p.e.dispatch(p) {
+		<-p.resume
+	}
 }
 
 func (e *Engine) curName() string {
@@ -222,21 +299,16 @@ func (p *Proc) Yield() {
 // Run processes events until the queue is empty, then reports whether the
 // simulation completed cleanly.  It returns an error if a process panicked
 // or if processes remain blocked with no pending events (a model deadlock).
+// A panic in a callback propagates out of Run with its original value.
 func (e *Engine) Run() error {
-	for e.queue.Len() > 0 {
-		ev := e.queue.popEv()
-		e.now = ev.t
-		if ev.proc != nil {
-			e.cur = ev.proc
-			ev.proc.resume <- struct{}{}
-			<-e.yield
-			e.cur = nil
-			if e.failure != nil {
-				return fmt.Errorf("sim: %v", e.failure)
-			}
-		} else if ev.fn != nil {
-			ev.fn()
-		}
+	e.dispatch(nil)
+	<-e.done
+	if r := e.cbPanic; r != nil {
+		e.cbPanic = nil
+		panic(r)
+	}
+	if e.failure != nil {
+		return fmt.Errorf("sim: %v", e.failure)
 	}
 	if len(e.live) > 0 {
 		names := make([]string, 0, len(e.live))

@@ -330,6 +330,43 @@ func TestMailboxMatching(t *testing.T) {
 	}
 }
 
+// TestMailboxFIFOPerKey checks per-(src, tag) FIFO order across the
+// direct handoff to a waiting receiver and a queue that drains, refills
+// and drains again.
+func TestMailboxFIFOPerKey(t *testing.T) {
+	e := NewEngine(1)
+	b := NewMailbox()
+	var got []any
+	e.Spawn("recv", func(p *Proc) {
+		got = append(got, b.Get(p, 0, 1).Val) // waits: handed off directly
+		p.Sleep(time.Millisecond)
+		for i := 0; i < 4; i++ {
+			got = append(got, b.Get(p, 0, 1).Val)
+		}
+		if b.Pending() != 1 {
+			t.Errorf("pending = %d, want 1", b.Pending())
+		}
+		got = append(got, b.Get(p, 0, 2).Val)
+	})
+	e.Spawn("send", func(p *Proc) {
+		b.Put(Msg{Src: 0, Tag: 1, Val: 0})
+		b.Put(Msg{Src: 0, Tag: 1, Val: 1}) // queued behind the handoff
+		b.Put(Msg{Src: 0, Tag: 2, Val: "other"})
+		b.Put(Msg{Src: 0, Tag: 1, Val: 2})
+		b.Put(Msg{Src: 0, Tag: 1, Val: 3})
+		b.Put(Msg{Src: 0, Tag: 1, Val: 4})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []any{0, 1, 2, 3, 4, "other"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if b.Pending() != 0 {
+		t.Fatalf("pending = %d after draining", b.Pending())
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []Time {
 		e := NewEngine(seed)

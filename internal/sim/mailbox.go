@@ -20,17 +20,25 @@ type mboxKey struct {
 // It implements MPI-style (source, tag) matching; each (source, tag) pair
 // delivers in FIFO order.
 type Mailbox struct {
-	msgs    map[mboxKey][]Msg
+	msgs    map[mboxKey]mqueue
 	waiting map[mboxKey]*Proc
-	slot    map[mboxKey]*Msg // message handed directly to a waiting receiver
+	slot    map[mboxKey]Msg // message handed directly to a waiting receiver
+}
+
+// mqueue holds the messages queued on one key.  The head is stored inline
+// so the common case — collective tags are unique per round, so most keys
+// only ever see one message — allocates no slice.
+type mqueue struct {
+	head Msg
+	rest []Msg
 }
 
 // NewMailbox returns an empty mailbox.
 func NewMailbox() *Mailbox {
 	return &Mailbox{
-		msgs:    make(map[mboxKey][]Msg),
+		msgs:    make(map[mboxKey]mqueue),
 		waiting: make(map[mboxKey]*Proc),
-		slot:    make(map[mboxKey]*Msg),
+		slot:    make(map[mboxKey]Msg),
 	}
 }
 
@@ -39,12 +47,16 @@ func (b *Mailbox) Put(m Msg) {
 	k := mboxKey{m.Src, m.Tag}
 	if p, ok := b.waiting[k]; ok {
 		delete(b.waiting, k)
-		mc := m
-		b.slot[k] = &mc
+		b.slot[k] = m
 		p.Wake()
 		return
 	}
-	b.msgs[k] = append(b.msgs[k], m)
+	if q, ok := b.msgs[k]; ok {
+		q.rest = append(q.rest, m)
+		b.msgs[k] = q
+	} else {
+		b.msgs[k] = mqueue{head: m}
+	}
 }
 
 // Get blocks p until a message from src with the given tag is available
@@ -52,12 +64,13 @@ func (b *Mailbox) Put(m Msg) {
 // at a time.
 func (b *Mailbox) Get(p *Proc, src, tag int) Msg {
 	k := mboxKey{src, tag}
-	if q := b.msgs[k]; len(q) > 0 {
-		m := q[0]
-		if len(q) == 1 {
+	if q, ok := b.msgs[k]; ok {
+		m := q.head
+		if len(q.rest) == 0 {
 			delete(b.msgs, k)
 		} else {
-			b.msgs[k] = q[1:]
+			q.head, q.rest = q.rest[0], q.rest[1:]
+			b.msgs[k] = q
 		}
 		return m
 	}
@@ -68,14 +81,14 @@ func (b *Mailbox) Get(p *Proc, src, tag int) Msg {
 	p.park()
 	m := b.slot[k]
 	delete(b.slot, k)
-	return *m
+	return m
 }
 
 // Pending reports the number of queued (undelivered) messages.
 func (b *Mailbox) Pending() int {
 	n := 0
 	for _, q := range b.msgs {
-		n += len(q)
+		n += 1 + len(q.rest)
 	}
 	return n
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // PSLink is a processor-sharing bandwidth link: at any instant, the n
 // active flows each progress at capacity/n bytes per second.  It models
@@ -24,10 +21,6 @@ type PSLink struct {
 	flows psFlowHeap
 	gen   uint64 // invalidates stale completion timers
 
-	// doneFns holds completion callbacks for async flows; the list is tiny
-	// in practice so a linear scan on completion is fine.
-	doneFns []flowDone
-
 	// Moved accumulates total bytes transferred, for utilization reports.
 	Moved int64
 }
@@ -35,36 +28,62 @@ type PSLink struct {
 type psFlow struct {
 	finishV float64
 	seq     uint64
-	proc    *Proc
-	idx     int
+	proc    *Proc  // blocked in Transfer; nil for an async flow
+	done    func() // an async flow's completion callback
 }
 
+func (a *psFlow) before(b *psFlow) bool {
+	if a.finishV != b.finishV {
+		return a.finishV < b.finishV
+	}
+	return a.seq < b.seq
+}
+
+// psFlowHeap is a binary min-heap of flows ordered by (finishV, seq).
 type psFlowHeap []*psFlow
 
-func (h psFlowHeap) Len() int { return len(h) }
-func (h psFlowHeap) Less(i, j int) bool {
-	if h[i].finishV != h[j].finishV {
-		return h[i].finishV < h[j].finishV
+func (h *psFlowHeap) push(f *psFlow) {
+	q := append(*h, f)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !f.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = f
+	*h = q
 }
-func (h psFlowHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *psFlowHeap) Push(x any) {
-	f := x.(*psFlow)
-	f.idx = len(*h)
-	*h = append(*h, f)
-}
-func (h *psFlowHeap) Pop() any {
-	old := *h
-	n := len(old)
-	f := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return f
+
+func (h *psFlowHeap) pop() *psFlow {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // NewPSLink returns a fair-share link with the given capacity in bytes
@@ -101,7 +120,7 @@ func (l *PSLink) Transfer(p *Proc, bytes int64) {
 	l.advance()
 	l.e.seq++
 	f := &psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, proc: p}
-	heap.Push(&l.flows, f)
+	l.flows.push(f)
 	l.reschedule()
 	p.park()
 }
@@ -118,15 +137,8 @@ func (l *PSLink) TransferAsync(bytes int64, done func()) {
 	l.Moved += bytes
 	l.advance()
 	l.e.seq++
-	f := &psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, proc: nil}
-	heap.Push(&l.flows, f)
-	l.doneFns = append(l.doneFns, flowDone{f, done})
+	l.flows.push(&psFlow{finishV: l.v + float64(bytes), seq: l.e.seq, done: done})
 	l.reschedule()
-}
-
-type flowDone struct {
-	f  *psFlow
-	fn func()
 }
 
 // reschedule (re)arms the single completion timer for the earliest
@@ -156,17 +168,11 @@ func (l *PSLink) complete() {
 	l.advance()
 	const eps = 1e-6
 	for len(l.flows) > 0 && l.flows[0].finishV <= l.v+eps {
-		f := heap.Pop(&l.flows).(*psFlow)
+		f := l.flows.pop()
 		if f.proc != nil {
 			f.proc.Wake()
 		} else {
-			for i, fd := range l.doneFns {
-				if fd.f == f {
-					l.doneFns = append(l.doneFns[:i], l.doneFns[i+1:]...)
-					l.e.After(0, fd.fn)
-					break
-				}
-			}
+			l.e.After(0, f.done)
 		}
 	}
 	l.reschedule()
